@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use wikistale_obs::MetricsRegistry;
+use wikistale_obs::{Counter, MetricsRegistry};
 
 /// A unit of work accepted by the pool.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -74,7 +74,10 @@ pub struct ServicePool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     queue_limit: usize,
-    label: String,
+    /// `service/<label>/submitted` and `…/rejected`, resolved once so
+    /// a submission pays an atomic increment, not a registry lookup.
+    submitted: Counter,
+    rejected: Counter,
 }
 
 impl ServicePool {
@@ -97,11 +100,13 @@ impl ServicePool {
                     .unwrap_or_else(|e| panic!("failed to spawn {label} worker: {e}"))
             })
             .collect();
+        let metrics = MetricsRegistry::global();
         ServicePool {
             shared,
             workers: handles,
             queue_limit: queue_limit.max(1),
-            label: label.to_string(),
+            submitted: metrics.counter(&format!("service/{label}/submitted")),
+            rejected: metrics.counter(&format!("service/{label}/rejected")),
         }
     }
 
@@ -133,32 +138,25 @@ impl ServicePool {
     where
         F: FnOnce() + Send + 'static,
     {
-        let metrics = MetricsRegistry::global();
         let mut state = self
             .shared
             .state
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if state.shutdown {
-            metrics
-                .counter(&format!("service/{}/rejected", self.label))
-                .incr();
+            self.rejected.incr();
             return Err(SubmitError::ShuttingDown);
         }
         let depth = state.queue.len();
         if depth >= self.queue_limit {
-            metrics
-                .counter(&format!("service/{}/rejected", self.label))
-                .incr();
+            self.rejected.incr();
             return Err(SubmitError::QueueFull {
                 depth,
                 limit: self.queue_limit,
             });
         }
         state.queue.push_back(Box::new(job));
-        metrics
-            .counter(&format!("service/{}/submitted", self.label))
-            .incr();
+        self.submitted.incr();
         drop(state);
         self.shared.work_available.notify_one();
         Ok(())

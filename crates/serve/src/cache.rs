@@ -11,12 +11,12 @@
 //! `Mutex<Shard>`s) keeps pool workers from serializing on one lock.
 //! Each shard runs true LRU on its own slice of the capacity: hits
 //! re-queue the key, inserts evict the shard's least-recent entry once
-//! the shard is full. Hits and misses are counted under
-//! `serve/cache/hit` and `serve/cache/miss`.
+//! the shard is full. Hits, misses and evictions are counted under
+//! `serve/cache/hit`, `serve/cache/miss` and `serve/cache/evicted`.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
-use wikistale_obs::MetricsRegistry;
+use wikistale_obs::{Counter, MetricsRegistry};
 
 /// Number of independent shards.
 pub const SHARDS: usize = 8;
@@ -35,6 +35,9 @@ struct Shard {
 pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
 }
 
 impl ResponseCache {
@@ -47,9 +50,13 @@ impl ResponseCache {
         } else {
             total_entries.div_ceil(SHARDS)
         };
+        let metrics = MetricsRegistry::global();
         ResponseCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity,
+            hits: metrics.counter("serve/cache/hit"),
+            misses: metrics.counter("serve/cache/miss"),
+            evictions: metrics.counter("serve/cache/evicted"),
         }
     }
 
@@ -64,7 +71,6 @@ impl ResponseCache {
 
     /// Look `key` up, counting a hit or miss and refreshing recency.
     pub fn get(&self, key: &str) -> Option<Arc<Vec<u8>>> {
-        let metrics = MetricsRegistry::global();
         let mut shard = self
             .shard_of(key)
             .lock()
@@ -73,11 +79,11 @@ impl ResponseCache {
             Some(body) => {
                 shard.order.push_back(key.to_string());
                 compact_if_bloated(&mut shard, self.per_shard_capacity);
-                metrics.counter("serve/cache/hit").incr();
+                self.hits.incr();
                 Some(body)
             }
             None => {
-                metrics.counter("serve/cache/miss").incr();
+                self.misses.incr();
                 None
             }
         }
@@ -105,9 +111,7 @@ impl ResponseCache {
                 continue;
             }
             shard.map.remove(&candidate);
-            MetricsRegistry::global()
-                .counter("serve/cache/evicted")
-                .incr();
+            self.evictions.incr();
         }
         compact_if_bloated(&mut shard, self.per_shard_capacity);
     }

@@ -23,7 +23,7 @@ use crate::http::{Request, Response};
 use wikistale_core::explain::{Explanation, Reason};
 use wikistale_core::scoring::{PredictedSets, ScoreQuery};
 use wikistale_obs::json::{self, Value};
-use wikistale_obs::MetricsRegistry;
+use wikistale_obs::{Counter, MetricsRegistry};
 use wikistale_wikicube::{Date, DateRange};
 
 /// Default `/metrics` rendering when the request has no `format=` param.
@@ -50,6 +50,48 @@ impl MetricsFormat {
 /// denial-of-service lever.
 const MAX_DELAY_MS: u64 = 5_000;
 
+/// Statuses the routes answer with, whose `serve/responses/{status}`
+/// counters are resolved up front.
+const STATUSES: [u16; 4] = [200, 400, 404, 405];
+
+/// `serve/requests/{route}` and `serve/responses/{status}`, resolved
+/// once so a request pays atomic increments, not registry lookups.
+struct RequestCounters {
+    healthz: Counter,
+    metrics: Counter,
+    stale: Counter,
+    score: Counter,
+    method: Counter,
+    unknown: Counter,
+    responses: [Counter; STATUSES.len()],
+}
+
+impl RequestCounters {
+    fn resolve() -> RequestCounters {
+        let registry = MetricsRegistry::global();
+        let route = |name: &str| registry.counter(&format!("serve/requests/{name}"));
+        RequestCounters {
+            healthz: route("healthz"),
+            metrics: route("metrics"),
+            stale: route("v1/stale"),
+            score: route("v1/score"),
+            method: route("method"),
+            unknown: route("unknown"),
+            responses: STATUSES
+                .map(|status| registry.counter(&format!("serve/responses/{status}"))),
+        }
+    }
+
+    fn count_response(&self, status: u16) {
+        match STATUSES.iter().position(|&s| s == status) {
+            Some(i) => self.responses[i].incr(),
+            None => MetricsRegistry::global()
+                .counter(&format!("serve/responses/{status}"))
+                .incr(),
+        }
+    }
+}
+
 /// The application: owns the artifact generation, the response cache,
 /// and the per-granularity prediction sets.
 pub struct App {
@@ -60,6 +102,7 @@ pub struct App {
     /// evaluation. Bounded: only the paper granularities are admitted.
     sets: Mutex<BTreeMap<u32, Arc<PredictedSets>>>,
     metrics_format: MetricsFormat,
+    counters: RequestCounters,
 }
 
 impl App {
@@ -75,6 +118,7 @@ impl App {
             cache: ResponseCache::new(cache_entries),
             sets: Mutex::new(BTreeMap::new()),
             metrics_format,
+            counters: RequestCounters::resolve(),
         }
     }
 
@@ -86,27 +130,25 @@ impl App {
     /// Dispatch one parsed request.
     pub fn handle(&self, req: &Request) -> Response {
         let segments: Vec<&str> = req.segments.iter().map(String::as_str).collect();
+        let counters = &self.counters;
         let (route, response) = match (req.method.as_str(), segments.as_slice()) {
-            ("GET", ["healthz"]) => ("healthz", self.healthz(req)),
-            ("GET", ["metrics"]) => ("metrics", self.metrics(req)),
-            ("GET", ["v1", "stale", page]) => ("v1/stale", self.stale(req, page)),
-            ("POST", ["v1", "score"]) => ("v1/score", self.score(req)),
+            ("GET", ["healthz"]) => (&counters.healthz, self.healthz(req)),
+            ("GET", ["metrics"]) => (&counters.metrics, self.metrics(req)),
+            ("GET", ["v1", "stale", page]) => (&counters.stale, self.stale(req, page)),
+            ("POST", ["v1", "score"]) => (&counters.score, self.score(req)),
             ("GET", ["v1", "score"])
             | ("POST", ["healthz" | "metrics"])
             | ("POST", ["v1", "stale", _]) => (
-                "method",
+                &counters.method,
                 Response::error(405, "wrong method for this route"),
             ),
             _ => (
-                "unknown",
+                &counters.unknown,
                 Response::error(404, &format!("no route for {}", req.raw_path)),
             ),
         };
-        let metrics = MetricsRegistry::global();
-        metrics.counter(&format!("serve/requests/{route}")).incr();
-        metrics
-            .counter(&format!("serve/responses/{}", response.status))
-            .incr();
+        route.incr();
+        counters.count_response(response.status);
         response
     }
 

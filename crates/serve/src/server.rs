@@ -10,8 +10,12 @@
 //! queue, or slow to compute) is answered `504` instead of a late
 //! result, so a draining or overloaded server fails crisply.
 //!
-//! Shutdown is cooperative: the accept loop polls a flag (set by
-//! [`ServerHandle::stop`] or, in the CLI, by a SIGINT/SIGTERM handler),
+//! The listener is non-blocking. When no connection is pending, the
+//! accept thread waits on the listener's readiness (`poll(2)` for
+//! `POLLIN`), so a new connection wakes it at once. The wait is capped
+//! at [`IDLE_POLL`] only so the loop re-checks its shutdown flag (set
+//! by [`ServerHandle::stop`] or, in the CLI, by a SIGINT/SIGTERM
+//! handler, whose signal also interrupts the wait). On shutdown it
 //! stops accepting, then drops the pool — which drains queued and
 //! in-flight jobs to completion before the listener closes.
 
@@ -25,7 +29,7 @@ use crate::artifacts::ServeArtifacts;
 use crate::http::{parse_error_response, parse_request, Response};
 use crate::routes::{App, MetricsFormat};
 use wikistale_exec::service::{ServicePool, SubmitError};
-use wikistale_obs::MetricsRegistry;
+use wikistale_obs::{Counter, Histogram, MetricsRegistry};
 
 /// How the server is run: pool size, admission limit, deadline, cache.
 #[derive(Debug, Clone)]
@@ -56,9 +60,52 @@ impl Default for ServerConfig {
     }
 }
 
-/// Accept-loop poll interval while idle (also the shutdown-detection
-/// latency bound).
+/// Longest the idle accept loop waits for a connection before it
+/// re-checks the shutdown flag: a bound on shutdown detection only,
+/// since a pending connection ends the wait at once. Also the back-off
+/// after a failed accept.
 const IDLE_POLL: Duration = Duration::from_millis(5);
+
+/// Wait until `listener` has a pending connection or `timeout` passes.
+/// A signal ends the wait early (`EINTR`); the caller re-checks its
+/// flags and retries `accept` in every case.
+#[cfg(target_os = "linux")]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::fd::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    const POLLIN: i16 = 0x1;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
+    }
+
+    let mut pfd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `pfd` is one `pollfd` laid out as the C struct (`#[repr(C)]`,
+    // i32 + two i16) and lives across the call; `nfds` is 1 to match. The
+    // fd stays open because `listener` is borrowed. poll only writes
+    // `revents`.
+    let ready = unsafe { poll(&mut pfd, 1, timeout_ms) };
+    if ready < 0 && io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+        // poll itself failed: back off instead of spinning on accept.
+        std::thread::sleep(timeout);
+    }
+}
+
+/// Without `poll(2)`, the idle loop sleeps out the timeout.
+#[cfg(not(target_os = "linux"))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
+}
 
 /// Process-wide SIGINT/SIGTERM → drain, with zero dependencies: a raw
 /// `signal(2)` registration flipping one static flag the accept loop
@@ -91,6 +138,33 @@ pub mod signals {
     /// Whether a shutdown signal has arrived since process start.
     pub fn requested() -> bool {
         REQUESTED.load(Ordering::SeqCst)
+    }
+}
+
+/// The accept loop's per-request metric handles, resolved once per
+/// [`Server::run`] so a request pays atomic updates, not registry
+/// lookups.
+struct ServeMetrics {
+    accepted: Counter,
+    shed: Counter,
+    deadline_exceeded: Counter,
+    io_errors: Counter,
+    /// Accept to a worker picking the connection up.
+    queue_wait: Histogram,
+    /// Accept to response ready.
+    latency: Histogram,
+}
+
+impl ServeMetrics {
+    fn resolve(metrics: &MetricsRegistry) -> ServeMetrics {
+        ServeMetrics {
+            accepted: metrics.counter("serve/accepted"),
+            shed: metrics.counter("serve/shed"),
+            deadline_exceeded: metrics.counter("serve/deadline_exceeded"),
+            io_errors: metrics.counter("serve/io_errors"),
+            queue_wait: metrics.histogram("serve/queue_wait"),
+            latency: metrics.histogram("serve/latency"),
+        }
     }
 }
 
@@ -136,7 +210,7 @@ impl Server {
     /// has been answered.
     pub fn run(&self, listener: TcpListener) -> io::Result<()> {
         listener.set_nonblocking(true)?;
-        let metrics = MetricsRegistry::global();
+        let metrics = Arc::new(ServeMetrics::resolve(MetricsRegistry::global()));
         let pool = ServicePool::new(
             "serve",
             self.config.threads.max(1),
@@ -145,34 +219,39 @@ impl Server {
         while !self.shutdown.load(Ordering::SeqCst) && !signals::requested() {
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    metrics.counter("serve/accepted").incr();
+                    metrics.accepted.incr();
                     // Admission check before submitting: this thread is
                     // the only submitter, and workers only *shrink* the
                     // queue, so the check cannot race into over-admission.
                     // Shedding happens right here on the accept thread —
                     // one bounded write, no worker involved.
                     if pool.queue_depth() >= pool.queue_limit() {
-                        metrics.counter("serve/shed").incr();
+                        metrics.shed.incr();
                         shed_connection(stream);
                         continue;
                     }
                     let accepted_at = Instant::now();
                     let app = Arc::clone(&self.app);
+                    let job_metrics = Arc::clone(&metrics);
                     let deadline = self.config.deadline;
                     if let Err(SubmitError::QueueFull { .. } | SubmitError::ShuttingDown) = pool
-                        .try_submit(move || handle_connection(&app, stream, accepted_at, deadline))
+                        .try_submit(move || {
+                            handle_connection(&app, &job_metrics, stream, accepted_at, deadline)
+                        })
                     {
                         // Unreachable given the pre-check, but never
                         // silently drop an admitted connection's count.
-                        metrics.counter("serve/shed").incr();
+                        metrics.shed.incr();
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(IDLE_POLL);
+                    wait_for_connection(&listener, IDLE_POLL);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    metrics.counter("serve/accept_errors").incr();
+                    MetricsRegistry::global()
+                        .counter("serve/accept_errors")
+                        .incr();
                     std::thread::sleep(IDLE_POLL);
                 }
             }
@@ -236,13 +315,20 @@ impl Drop for ServerHandle {
 
 /// Parse, dispatch, respond — the whole life of one admitted
 /// connection, on a pool worker.
-fn handle_connection(app: &App, mut stream: TcpStream, accepted_at: Instant, deadline: Duration) {
-    let metrics = MetricsRegistry::global();
-    let remaining = deadline.saturating_sub(accepted_at.elapsed());
+fn handle_connection(
+    app: &App,
+    metrics: &ServeMetrics,
+    mut stream: TcpStream,
+    accepted_at: Instant,
+    deadline: Duration,
+) {
+    let queued = accepted_at.elapsed();
+    metrics.queue_wait.record(queued);
+    let remaining = deadline.saturating_sub(queued);
     if remaining.is_zero() {
         // Starved in the queue past the deadline: don't even parse.
-        metrics.counter("serve/deadline_exceeded").incr();
-        write_response(&mut stream, &deadline_response(deadline));
+        metrics.deadline_exceeded.incr();
+        write_response(&mut stream, &deadline_response(deadline), metrics);
         return;
     }
     // Socket timeouts bound reads/writes by the remaining budget so a
@@ -252,20 +338,19 @@ fn handle_connection(app: &App, mut stream: TcpStream, accepted_at: Instant, dea
     let mut reader = io::BufReader::new(match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => {
-            metrics.counter("serve/io_errors").incr();
+            metrics.io_errors.incr();
             return;
         }
     });
     let response = match parse_request(&mut reader) {
         Ok(request) => {
             let response = app.handle(&request);
-            metrics
-                .histogram("serve/latency")
-                .record(accepted_at.elapsed());
-            if accepted_at.elapsed() >= deadline {
+            let elapsed = accepted_at.elapsed();
+            metrics.latency.record(elapsed);
+            if elapsed >= deadline {
                 // Never deliver a late result: the client contract is
                 // "an answer within the deadline, or a 504".
-                metrics.counter("serve/deadline_exceeded").incr();
+                metrics.deadline_exceeded.incr();
                 deadline_response(deadline)
             } else {
                 response
@@ -276,7 +361,7 @@ fn handle_connection(app: &App, mut stream: TcpStream, accepted_at: Instant, dea
             None => return, // connection closed before a request
         },
     };
-    write_response(&mut stream, &response);
+    write_response(&mut stream, &response, metrics);
 }
 
 /// Answer an over-admission connection with `503` + `Retry-After` on
@@ -319,9 +404,9 @@ fn deadline_response(deadline: Duration) -> Response {
     )
 }
 
-fn write_response(stream: &mut TcpStream, response: &Response) {
+fn write_response(stream: &mut TcpStream, response: &Response, metrics: &ServeMetrics) {
     if response.write_to(stream).is_err() {
-        MetricsRegistry::global().counter("serve/io_errors").incr();
+        metrics.io_errors.incr();
     } else {
         graceful_close(stream);
     }
@@ -330,6 +415,7 @@ fn write_response(stream: &mut TcpStream, response: &Response) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routes::MetricsFormat;
     use crate::testutil::{body_of, http_get, http_post, tiny_artifacts};
     use std::net::TcpListener;
 
@@ -424,5 +510,60 @@ mod tests {
             "in-flight request dropped during drain: {text}"
         );
         assert!(TcpStream::connect(addr).is_err(), "listener still open");
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn pending_connection_ends_the_wait_early() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let start = Instant::now();
+        wait_for_connection(&listener, Duration::from_secs(30));
+        let waited = start.elapsed();
+        assert!(waited < Duration::from_secs(5), "waited {waited:?}");
+        listener.set_nonblocking(true).unwrap();
+        assert!(
+            listener.accept().is_ok(),
+            "woke without a pending connection"
+        );
+    }
+
+    #[test]
+    fn stopping_an_idle_server_closes_the_listener() {
+        let handle = spawn(ServerConfig::default());
+        let addr = handle.addr();
+        handle.stop().unwrap();
+        assert!(TcpStream::connect(addr).is_err(), "listener still open");
+    }
+
+    #[test]
+    fn queue_wait_is_recorded_once_per_served_request() {
+        const N: u64 = 5;
+        let registry = MetricsRegistry::new();
+        let metrics = ServeMetrics::resolve(&registry);
+        let app = App::new(Arc::new(tiny_artifacts()), 0, MetricsFormat::Json);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let client = scope.spawn(move || {
+                (0..N)
+                    .map(|_| http_get(addr, "/healthz").0)
+                    .collect::<Vec<u16>>()
+            });
+            for _ in 0..N {
+                let (stream, _) = listener.accept().unwrap();
+                handle_connection(
+                    &app,
+                    &metrics,
+                    stream,
+                    Instant::now(),
+                    Duration::from_secs(5),
+                );
+            }
+            assert_eq!(client.join().unwrap(), vec![200; N as usize]);
+        });
+        let histograms = registry.snapshot().histograms;
+        assert_eq!(histograms["serve/queue_wait"].count, N);
+        assert_eq!(histograms["serve/latency"].count, N);
     }
 }
