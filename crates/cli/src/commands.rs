@@ -810,7 +810,6 @@ struct CubeMemory {
     change_table_bytes: usize,
     row_layout_baseline_bytes: usize,
     day_store_bytes: usize,
-    day_store_decoded_baseline_bytes: usize,
 }
 
 /// What one `bench pipeline` leg produced: stage timings plus the exact
@@ -852,19 +851,15 @@ fn pipeline_leg(
     let split = EvalSplit::for_span(span).ok_or_else(|| {
         CliError::Other("corpus spans less than the two years needed for validation + test".into())
     })?;
-    // "cube": materialize the shared delta-encoded day-list store and the
-    // evaluation index over it.
-    let index = pipeline_stage("cube", &mut stages, || {
-        filtered.day_lists();
-        CubeIndex::build(&filtered)
-    });
-    let day_store = filtered.day_lists();
+    // "cube": materialize the shared day-list store and the evaluation
+    // index over it (a filtered cube holds only updates, so building the
+    // index builds the cube's store and shares it).
+    let index = pipeline_stage("cube", &mut stages, || CubeIndex::build(&filtered));
     let memory = CubeMemory {
         num_changes: filtered.num_changes(),
         change_table_bytes: filtered.change_table_bytes(),
         row_layout_baseline_bytes: filtered.row_layout_baseline_bytes(),
-        day_store_bytes: day_store.heap_bytes(),
-        day_store_decoded_baseline_bytes: day_store.decoded_baseline_bytes(),
+        day_store_bytes: filtered.day_lists().heap_bytes(),
     };
     let data = EvalData::new(&filtered, &index);
     let predictors = pipeline_stage("train", &mut stages, || {
@@ -979,8 +974,7 @@ fn cmd_bench_pipeline(args: &Args) -> Result<(), CliError> {
          \"memory\": {{\n    \"num_changes\": {},\n    \
          \"change_table_bytes\": {},\n    \"row_layout_baseline_bytes\": {},\n    \
          \"change_table_savings_fraction\": {:.4},\n    \
-         \"day_store_bytes\": {},\n    \"day_store_decoded_baseline_bytes\": {},\n    \
-         \"day_store_savings_fraction\": {:.4}\n  }}\n}}\n",
+         \"day_store_bytes\": {}\n  }}\n}}\n",
         scale.replace('"', ""),
         config.seed,
         parallel_threads,
@@ -991,8 +985,6 @@ fn cmd_bench_pipeline(args: &Args) -> Result<(), CliError> {
         m.row_layout_baseline_bytes,
         savings(m.change_table_bytes, m.row_layout_baseline_bytes),
         m.day_store_bytes,
-        m.day_store_decoded_baseline_bytes,
-        savings(m.day_store_bytes, m.day_store_decoded_baseline_bytes),
     );
     std::fs::write(out, &json).map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
     println!(
@@ -1011,13 +1003,11 @@ fn cmd_bench_pipeline(args: &Args) -> Result<(), CliError> {
     }
     println!(
         "memory: change table {} B vs row baseline {} B ({:.1} % saved); \
-         day store {} B vs decoded baseline {} B ({:.1} % saved)",
+         day store {} B",
         m.change_table_bytes,
         m.row_layout_baseline_bytes,
         100.0 * savings(m.change_table_bytes, m.row_layout_baseline_bytes),
         m.day_store_bytes,
-        m.day_store_decoded_baseline_bytes,
-        100.0 * savings(m.day_store_bytes, m.day_store_decoded_baseline_bytes),
     );
     println!("bench pipeline: serial and parallel results identical");
     println!("wrote pipeline report → {out}");

@@ -180,8 +180,8 @@ impl StalenessDetector {
                 reasons: Vec::new(),
             });
             if let Some(seasonal) = &self.seasonal {
-                let days = self.index.days(pos).to_vec();
-                if let Some((hits, observable)) = seasonal.recurrence(&days, window) {
+                let days = self.index.days(pos).as_slice();
+                if let Some((hits, observable)) = seasonal.recurrence(days, window) {
                     // Only attach when it actually carries signal.
                     if observable >= seasonal.params.min_years && hits > 0 {
                         explanation

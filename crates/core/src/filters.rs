@@ -213,7 +213,8 @@ impl FilterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wikistale_wikicube::{ChangeCubeBuilder, ChangeFlags, Date};
+    use std::sync::Arc;
+    use wikistale_wikicube::{ChangeCubeBuilder, ChangeFlags, CubeIndex, Date};
 
     fn day(n: i32) -> Date {
         Date::EPOCH + n
@@ -404,6 +405,29 @@ mod tests {
         let (twice, report) = pipeline.apply(&once);
         assert_eq!(once.changes_vec(), twice.changes_vec());
         assert_eq!(report.stages[0].removed, 0);
+    }
+
+    #[test]
+    fn filtered_cube_index_shares_the_cube_store() {
+        let mut b = ChangeCubeBuilder::new();
+        let e = b.entity("E", "t", "P");
+        let p = b.property("p");
+        b.change(day(0), e, p, "init", ChangeKind::Create);
+        for d in 1..=6 {
+            b.change(day(d), e, p, &format!("v{d}"), ChangeKind::Update);
+        }
+        b.change(day(7), e, p, "", ChangeKind::Delete);
+        let raw = b.finish();
+        // The raw cube holds creates and deletes: its update-only view is
+        // a separate store.
+        let raw_index = CubeIndex::build(&raw);
+        assert!(!Arc::ptr_eq(raw_index.day_lists(), raw.day_lists()));
+        // After the paper filter only updates remain, so the index reuses
+        // the cube's own store and sees the same days.
+        let (c, _) = FilterPipeline::paper().apply(&raw);
+        let index = CubeIndex::build(&c);
+        assert!(Arc::ptr_eq(index.day_lists(), c.day_lists()));
+        assert_eq!(index.days(0).as_slice(), raw_index.days(0).as_slice());
     }
 
     #[test]

@@ -77,9 +77,9 @@ type WeeklyKey = (EntityId, u32);
 /// Weeks are 7-day buckets counted from `range.start()`.
 ///
 /// Reads the cube's shared [`wikistale_wikicube::DayListStore`] rather
-/// than re-scanning the change table: each field contributes its (already
-/// deduplicated, sorted) change days directly, and a field enters a week's
-/// transaction at most once.
+/// than re-scanning the change table: each field contributes the slice of
+/// its (already deduplicated, sorted) change days inside `range`, and a
+/// field enters a week's transaction at most once.
 fn weekly_transactions(
     cube: &ChangeCube,
     range: DateRange,

@@ -229,21 +229,21 @@ impl FieldCorrelation {
             let mut rules: Vec<(u32, u32)> = Vec::new();
             for &page in chunk {
                 let fields = index.fields_on_page(page);
-                // Decode each field's delta-encoded day list once per
-                // page; the pairwise distance loop reads plain slices.
-                let decoded: Vec<Vec<Date>> = fields
+                // The pairwise distance loop reads each field's days in
+                // place, as slices of the shared store.
+                let days: Vec<&[Date]> = fields
                     .iter()
-                    .map(|&f| index.days(f as usize).to_vec())
+                    .map(|&f| index.days(f as usize).as_slice())
                     .collect();
                 for (i, &a) in fields.iter().enumerate() {
-                    let a_days = &decoded[i];
+                    let a_days = days[i];
                     if in_range(a_days, range).is_empty() {
                         continue;
                     }
                     for (j, &b) in fields.iter().enumerate().skip(i + 1) {
                         let d = change_distance_lagged(
                             a_days,
-                            &decoded[j],
+                            days[j],
                             range,
                             params.norm,
                             params.lag_days,

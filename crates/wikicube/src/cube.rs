@@ -437,10 +437,10 @@ impl ChangeCube {
 
     /// The canonical per-field day lists: for every `(entity, property)`
     /// field, its strictly-increasing change days across **all** change
-    /// kinds, delta-encoded (see [`DayListStore`]). Built lazily on first
-    /// use and shared by `Arc` — the index, the Apriori transaction
-    /// builder and the statistics all read this one copy instead of
-    /// re-deriving day lists from the change table.
+    /// kinds, as sorted slices in one CSR arena (see [`DayListStore`]).
+    /// Built lazily on first use and shared by `Arc` — the index, the
+    /// Apriori transaction builder and the statistics all read this one
+    /// copy instead of re-deriving day lists from the change table.
     pub fn day_lists(&self) -> &Arc<DayListStore> {
         self.day_store.get_or_init(|| {
             Arc::new(DayListStore::from_field_days(

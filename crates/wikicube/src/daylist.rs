@@ -1,49 +1,27 @@
-//! Shared, delta-encoded per-field day lists.
+//! Shared per-field day lists in one CSR arena.
 //!
 //! Every stage of the pipeline needs "the sorted change days of field X":
 //! the per-day index, the correlation pair search, the baselines and the
-//! Apriori transaction builder. Before the columnar refactor each stage
-//! re-derived those lists from the row table and kept them as one
-//! `Vec<Date>` per field — 4 bytes per day plus a vector header per
-//! field. [`DayListStore`] materializes them **once**, in a single CSR
-//! arena of delta-encoded `u32` run words, and is shared by reference
-//! (`Arc`) between the cube, the index and the predictors.
+//! Apriori transaction builder. [`DayListStore`] materializes them
+//! **once**, in compressed-sparse-row layout — every field's days back to
+//! back in one `Vec<Date>`, plus `u32` offsets — and is shared by
+//! reference (`Arc`) between the cube, the index and the predictors.
 //!
-//! # Encoding
-//!
-//! A field's days are strictly increasing (the cube is canonical: at most
-//! one change per `(entity, property, day)`), so they decompose into
-//! maximal runs of consecutive days. Each run is stored as one `u32`
-//! word:
-//!
-//! ```text
-//! w = gap << 8 | (len - 1)      gap < 0x00FF_FFFF, 1 <= len <= 256
-//! ```
-//!
-//! `gap` is the distance from the *anchor* — the store-wide base day for
-//! a field's first run, `previous run end + 1` afterwards — and `len` is
-//! the number of consecutive days. Runs longer than 256 days continue
-//! with `gap = 0` words; a gap too large for 24 bits (≈ 46 000 years)
-//! escapes to the sentinel [`ESCAPE`] followed by raw `gap` and `len`
-//! words. One day therefore costs at most one word (4 bytes, same as the
-//! old `Vec<Date>` element) and a K-day consecutive run costs 4/K bytes
-//! per day, with no per-field vector header either way.
+//! A field's list is a plain sorted slice ([`DayList::as_slice`]), so the
+//! lookups the predictors make ("last change before", "changed in this
+//! window") are binary searches and kernels read the days in place,
+//! without decoding a copy.
 
 use crate::change::ChangeKind;
 use crate::cube::ChangeCube;
 use crate::date::{Date, DateRange};
 use crate::fxhash::FxHashMap;
 use crate::ids::FieldId;
+use std::iter::Copied;
+use std::slice;
 use std::sync::Arc;
 
-/// Sentinel run word: the next two words are a raw `gap` and `len`.
-const ESCAPE: u32 = 0xFFFF_FFFF;
-/// Largest gap representable in a packed word.
-const MAX_PACKED_GAP: u32 = 0x00FF_FFFE;
-/// Largest run length representable in a packed word.
-const MAX_PACKED_LEN: u32 = 256;
-
-/// One delta-encoded day list per field, stored in a shared CSR arena.
+/// One sorted day list per field, stored in a shared CSR arena.
 ///
 /// Fields are sorted by `(entity, property)` and addressed by dense
 /// position, exactly like [`crate::CubeIndex`] positions.
@@ -53,55 +31,35 @@ pub struct DayListStore {
     fields: Vec<FieldId>,
     /// Field id → dense position in `fields`.
     field_pos: FxHashMap<FieldId, u32>,
-    /// CSR offsets into `runs` (`fields.len() + 1` entries).
-    run_offsets: Vec<u32>,
-    /// Packed run words for all fields, concatenated.
-    runs: Vec<u32>,
-    /// Cumulative day counts (`fields.len() + 1` entries); gives O(1)
-    /// per-list length and total.
-    count_offsets: Vec<u32>,
-    /// Store-wide base day: anchor of every field's first run.
-    base: i32,
+    /// CSR offsets into `days` (`fields.len() + 1` entries).
+    offsets: Vec<u32>,
+    /// Every field's strictly increasing days, concatenated in field order.
+    days: Vec<Date>,
 }
 
 impl DayListStore {
     /// Build a store from per-field day lists. Each list must be strictly
     /// increasing; field order in the map does not matter.
     pub fn from_field_days(per_field: FxHashMap<FieldId, Vec<Date>>) -> DayListStore {
-        let mut per_field = per_field;
-        let mut fields: Vec<FieldId> = per_field.keys().copied().collect();
-        fields.sort_unstable();
-        let base = per_field
-            .values()
-            .filter_map(|d| d.first())
-            .map(|d| d.day_number())
-            .min()
-            .unwrap_or(0);
-
+        let mut lists: Vec<(FieldId, Vec<Date>)> = per_field.into_iter().collect();
+        lists.sort_unstable_by_key(|&(field, _)| field);
+        let mut fields = Vec::with_capacity(lists.len());
         let mut field_pos = FxHashMap::default();
-        field_pos.reserve(fields.len());
-        let mut run_offsets = Vec::with_capacity(fields.len() + 1);
-        let mut count_offsets = Vec::with_capacity(fields.len() + 1);
-        let mut runs = Vec::new();
-        run_offsets.push(0u32);
-        count_offsets.push(0u32);
-        let mut total = 0u32;
-        for (pos, f) in fields.iter().enumerate() {
-            field_pos.insert(*f, pos as u32);
-            let days = per_field.remove(f).unwrap_or_default();
-            encode_days(&mut runs, base, &days);
-            total += days.len() as u32;
-            run_offsets.push(runs.len() as u32);
-            count_offsets.push(total);
+        field_pos.reserve(lists.len());
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        offsets.push(0u32);
+        let mut days = Vec::with_capacity(lists.iter().map(|(_, d)| d.len()).sum());
+        for (pos, (field, list)) in lists.into_iter().enumerate() {
+            fields.push(field);
+            field_pos.insert(field, pos as u32);
+            days.extend(list);
+            offsets.push(days.len() as u32);
         }
-        runs.shrink_to_fit();
         DayListStore {
             fields,
             field_pos,
-            run_offsets,
-            runs,
-            count_offsets,
-            base,
+            offsets,
+            days,
         }
     }
 
@@ -127,12 +85,10 @@ impl DayListStore {
 
     /// The day list at dense position `pos`.
     pub fn list(&self, pos: usize) -> DayList<'_> {
-        let lo = self.run_offsets[pos] as usize;
-        let hi = self.run_offsets[pos + 1] as usize;
+        let lo = self.offsets[pos] as usize;
+        let hi = self.offsets[pos + 1] as usize;
         DayList {
-            runs: &self.runs[lo..hi],
-            base: self.base,
-            count: self.count_offsets[pos + 1] - self.count_offsets[pos],
+            days: &self.days[lo..hi],
         }
     }
 
@@ -148,24 +104,16 @@ impl DayListStore {
 
     /// Total number of stored days across all fields.
     pub fn total_days(&self) -> usize {
-        self.count_offsets.last().copied().unwrap_or(0) as usize
+        self.days.len()
     }
 
-    /// Heap bytes held by the encoded store (arena vectors plus an
-    /// estimate of the position map's table).
+    /// Heap bytes held by the store (arena vectors plus an estimate of
+    /// the position map's table).
     pub fn heap_bytes(&self) -> usize {
-        self.fields.len() * std::mem::size_of::<FieldId>()
-            + self.runs.capacity() * 4
-            + self.run_offsets.capacity() * 4
-            + self.count_offsets.capacity() * 4
+        self.fields.capacity() * std::mem::size_of::<FieldId>()
+            + self.days.capacity() * std::mem::size_of::<Date>()
+            + self.offsets.capacity() * 4
             + self.field_pos.capacity() * (std::mem::size_of::<FieldId>() + 4)
-    }
-
-    /// Heap bytes the same lists would occupy decoded, as one
-    /// `Vec<Date>` per field (4 bytes per day plus a vector header per
-    /// field) — the layout this store replaced.
-    pub fn decoded_baseline_bytes(&self) -> usize {
-        self.total_days() * 4 + self.num_fields() * std::mem::size_of::<Vec<Date>>()
     }
 }
 
@@ -207,297 +155,81 @@ pub(crate) fn store_for_kinds(cube: &ChangeCube, kinds: &[ChangeKind]) -> Arc<Da
     )))
 }
 
-/// Append the encoded runs of one strictly-increasing day list.
-fn encode_days(runs: &mut Vec<u32>, base: i32, days: &[Date]) {
-    let mut anchor = base as i64;
-    let mut i = 0usize;
-    while i < days.len() {
-        let start = days[i].day_number() as i64;
-        let mut end = i + 1;
-        while end < days.len() && days[end].day_number() as i64 == start + (end - i) as i64 {
-            end += 1;
-        }
-        let mut gap = (start - anchor) as u64 as u32;
-        let mut len = (end - i) as u32;
-        while len > 0 {
-            let chunk = len.min(MAX_PACKED_LEN);
-            if gap <= MAX_PACKED_GAP {
-                runs.push((gap << 8) | (chunk - 1));
-            } else {
-                runs.push(ESCAPE);
-                runs.push(gap);
-                runs.push(chunk);
-            }
-            gap = 0;
-            len -= chunk;
-        }
-        anchor = start + (end - i) as i64;
-        i = end;
-    }
-}
-
-/// Read one `(gap, len)` run starting at `runs[*idx]`, advancing `idx`.
-#[inline]
-fn read_run(runs: &[u32], idx: &mut usize) -> (u32, u32) {
-    let w = runs[*idx];
-    if w == ESCAPE {
-        let gap = runs[*idx + 1];
-        let len = runs[*idx + 2];
-        *idx += 3;
-        (gap, len)
-    } else {
-        *idx += 1;
-        (w >> 8, (w & 0xFF) + 1)
-    }
-}
-
-/// A borrowed view of one field's encoded day list.
+/// A borrowed view of one field's sorted change days.
 #[derive(Debug, Clone, Copy)]
 pub struct DayList<'a> {
-    runs: &'a [u32],
-    base: i32,
-    count: u32,
+    days: &'a [Date],
 }
 
 impl<'a> DayList<'a> {
     /// An empty list (useful as a default when a field is absent).
-    pub const EMPTY: DayList<'static> = DayList {
-        runs: &[],
-        base: 0,
-        count: 0,
-    };
+    pub const EMPTY: DayList<'static> = DayList { days: &[] };
+
+    /// The days as a strictly increasing slice, borrowed from the store.
+    pub fn as_slice(&self) -> &'a [Date] {
+        self.days
+    }
 
     /// Number of days in the list.
     pub fn len(&self) -> usize {
-        self.count as usize
+        self.days.len()
     }
 
     /// Whether the list has no days.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Iterate `(start_day_number, len)` decoded runs.
-    fn walk(&self) -> RunWalk<'a> {
-        RunWalk {
-            runs: self.runs,
-            idx: 0,
-            anchor: self.base as i64,
-        }
+        self.days.is_empty()
     }
 
     /// Iterate the days in ascending order.
-    pub fn iter(&self) -> DayIter<'a> {
-        DayIter {
-            walk: self.walk(),
-            cur: 0,
-            cur_left: 0,
-            remaining: self.count,
-        }
+    pub fn iter(&self) -> Copied<slice::Iter<'a, Date>> {
+        self.days.iter().copied()
     }
 
     /// The earliest day, if any.
     pub fn first(&self) -> Option<Date> {
-        self.walk()
-            .next()
-            .map(|(start, _)| Date::from_day_number(start as i32))
+        self.days.first().copied()
     }
 
     /// The latest day, if any.
     pub fn last(&self) -> Option<Date> {
-        self.walk()
-            .last()
-            .map(|(start, len)| Date::from_day_number((start + len as i64 - 1) as i32))
+        self.days.last().copied()
     }
 
     /// Number of days strictly before `before`.
     pub fn count_before(&self, before: Date) -> usize {
-        let b = before.day_number() as i64;
-        let mut n = 0usize;
-        for (start, len) in self.walk() {
-            if start >= b {
-                break;
-            }
-            n += (b - start).min(len as i64) as usize;
-        }
-        n
+        self.days.partition_point(|&d| d < before)
     }
 
     /// The latest day strictly before `before`, if any.
     pub fn last_before(&self, before: Date) -> Option<Date> {
-        let b = before.day_number() as i64;
-        let mut best: Option<i64> = None;
-        for (start, len) in self.walk() {
-            if start >= b {
-                break;
-            }
-            best = Some(start + (b - start).min(len as i64) - 1);
-        }
-        best.map(|d| Date::from_day_number(d as i32))
+        self.days[..self.count_before(before)].last().copied()
     }
 
     /// Whether any day falls in the half-open window `[start, end)`.
     pub fn changed_in(&self, start: Date, end: Date) -> bool {
-        let (s, e) = (start.day_number() as i64, end.day_number() as i64);
-        if s >= e {
-            return false;
-        }
-        for (run_start, len) in self.walk() {
-            if run_start >= e {
-                return false;
-            }
-            if run_start + len as i64 > s {
-                return true;
-            }
-        }
-        false
+        self.days
+            .get(self.count_before(start))
+            .is_some_and(|&d| d < end)
     }
 
-    /// Iterate the days at or after `from`, ascending. Skips whole runs,
-    /// so positioning costs O(runs), not O(days).
-    pub fn iter_from(&self, from: Date) -> DayIter<'a> {
-        let f = from.day_number() as i64;
-        let mut walk = self.walk();
-        let mut skipped = 0u32;
-        loop {
-            let before_idx = walk.idx;
-            let before_anchor = walk.anchor;
-            match walk.next() {
-                None => {
-                    return DayIter {
-                        walk,
-                        cur: 0,
-                        cur_left: 0,
-                        remaining: 0,
-                    }
-                }
-                Some((start, len)) => {
-                    if start + len as i64 <= f {
-                        skipped += len;
-                        continue;
-                    }
-                    // Re-enter this run, clipped to days >= from.
-                    let clip = (f - start).max(0) as u32;
-                    let rewound = RunWalk {
-                        runs: walk.runs,
-                        idx: before_idx,
-                        anchor: before_anchor,
-                    };
-                    let mut it = DayIter {
-                        walk: rewound,
-                        cur: 0,
-                        cur_left: 0,
-                        remaining: self.count - skipped,
-                    };
-                    // Load the run and drop its clipped prefix.
-                    it.load_next_run();
-                    it.cur += clip as i64;
-                    it.cur_left -= clip;
-                    it.remaining -= clip;
-                    return it;
-                }
-            }
-        }
+    /// Iterate the days at or after `from`, ascending.
+    pub fn iter_from(&self, from: Date) -> Copied<slice::Iter<'a, Date>> {
+        self.days[self.count_before(from)..].iter().copied()
     }
 
     /// Iterate the days inside the half-open `range`, ascending.
-    pub fn iter_in(&self, range: DateRange) -> impl Iterator<Item = Date> + use<'a> {
-        let end = range.end();
-        self.iter_from(range.start()).take_while(move |&d| d < end)
+    pub fn iter_in(&self, range: DateRange) -> Copied<slice::Iter<'a, Date>> {
+        let from = &self.days[self.count_before(range.start())..];
+        from[..from.partition_point(|&d| d < range.end())]
+            .iter()
+            .copied()
     }
 
-    /// Decode the whole list into `buf` (cleared first) and return it as
-    /// a slice — the bridge for kernels that need contiguous days.
-    pub fn decode_into<'b>(&self, buf: &'b mut Vec<Date>) -> &'b [Date] {
-        buf.clear();
-        buf.reserve(self.len());
-        buf.extend(self.iter());
-        buf.as_slice()
-    }
-
-    /// Decode into a fresh vector.
+    /// Copy the list into a fresh vector.
     pub fn to_vec(&self) -> Vec<Date> {
-        self.iter().collect()
+        self.days.to_vec()
     }
 }
-
-impl<'a> IntoIterator for DayList<'a> {
-    type Item = Date;
-    type IntoIter = DayIter<'a>;
-    fn into_iter(self) -> DayIter<'a> {
-        self.iter()
-    }
-}
-
-/// Decoded-run iterator: yields `(start_day_number, len)`.
-#[derive(Debug, Clone)]
-struct RunWalk<'a> {
-    runs: &'a [u32],
-    idx: usize,
-    /// Day number gaps are measured from.
-    anchor: i64,
-}
-
-impl Iterator for RunWalk<'_> {
-    type Item = (i64, u32);
-    fn next(&mut self) -> Option<(i64, u32)> {
-        if self.idx >= self.runs.len() {
-            return None;
-        }
-        let (gap, len) = read_run(self.runs, &mut self.idx);
-        let start = self.anchor + gap as i64;
-        self.anchor = start + len as i64;
-        Some((start, len))
-    }
-}
-
-/// Iterator over the days of a [`DayList`].
-#[derive(Debug, Clone)]
-pub struct DayIter<'a> {
-    walk: RunWalk<'a>,
-    cur: i64,
-    cur_left: u32,
-    remaining: u32,
-}
-
-impl DayIter<'_> {
-    fn load_next_run(&mut self) -> bool {
-        match self.walk.next() {
-            Some((start, len)) => {
-                self.cur = start;
-                self.cur_left = len;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-impl Iterator for DayIter<'_> {
-    type Item = Date;
-
-    fn next(&mut self) -> Option<Date> {
-        if self.remaining == 0 {
-            return None;
-        }
-        if self.cur_left == 0 && !self.load_next_run() {
-            self.remaining = 0;
-            return None;
-        }
-        let day = Date::from_day_number(self.cur as i32);
-        self.cur += 1;
-        self.cur_left -= 1;
-        self.remaining -= 1;
-        Some(day)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining as usize, Some(self.remaining as usize))
-    }
-}
-
-impl ExactSizeIterator for DayIter<'_> {}
-impl std::iter::FusedIterator for DayIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -537,6 +269,7 @@ mod tests {
         ]);
         assert_eq!(store.num_fields(), 3);
         assert_eq!(store.total_days(), 10);
+        assert!(store.heap_bytes() >= 10 * 4 + 4 * 4);
         let l = store.get(field(0, 0)).unwrap();
         assert_eq!(l.len(), 6);
         assert_eq!(
@@ -567,7 +300,11 @@ mod tests {
 
     #[test]
     fn first_last_and_counts() {
-        let store = store_of(&[(field(0, 0), vec![2, 3, 4, 9, 20, 21])]);
+        let store = store_of(&[
+            (field(0, 0), vec![2, 3, 4, 9, 20, 21]),
+            (field(0, 1), vec![0, 20_000_000]),
+            (field(0, 2), (0..1000).collect()),
+        ]);
         let l = store.list(0);
         assert_eq!(l.first(), Some(day(2)));
         assert_eq!(l.last(), Some(day(21)));
@@ -579,14 +316,41 @@ mod tests {
         assert_eq!(l.last_before(day(9)), Some(day(4)));
         assert_eq!(l.last_before(day(21)), Some(day(20)));
         assert_eq!(l.last_before(day(500)), Some(day(21)));
+
+        // A gap of 20 million days, probed at the stored day after it.
+        let gap = store.list(1);
+        assert_eq!(gap.last(), Some(day(20_000_000)));
+        assert_eq!(gap.count_before(day(20_000_000)), 1);
+        assert_eq!(gap.count_before(day(20_000_001)), 2);
+        assert_eq!(gap.last_before(day(20_000_000)), Some(day(0)));
+        assert_eq!(gap.last_before(day(20_000_001)), Some(day(20_000_000)));
+
+        // A 1,000-day run of consecutive days.
+        let run = store.list(2);
+        assert_eq!(run.len(), 1000);
+        assert_eq!(run.first(), Some(day(0)));
+        assert_eq!(run.last(), Some(day(999)));
+        assert_eq!(run.count_before(day(500)), 500);
+        assert_eq!(run.last_before(day(500)), Some(day(499)));
+        assert_eq!(
+            run.iter_from(day(998)).collect::<Vec<_>>(),
+            vec![day(998), day(999)]
+        );
+
         assert_eq!(DayList::EMPTY.first(), None);
         assert_eq!(DayList::EMPTY.last(), None);
+        assert_eq!(DayList::EMPTY.count_before(day(0)), 0);
+        assert_eq!(DayList::EMPTY.last_before(day(0)), None);
         assert!(DayList::EMPTY.is_empty());
     }
 
     #[test]
     fn changed_in_windows() {
-        let store = store_of(&[(field(0, 0), vec![5, 6, 7, 30])]);
+        let store = store_of(&[
+            (field(0, 0), vec![5, 6, 7, 30]),
+            (field(0, 1), vec![0, 20_000_000]),
+            (field(0, 2), (0..1000).collect()),
+        ]);
         let l = store.list(0);
         assert!(l.changed_in(day(5), day(6)));
         assert!(l.changed_in(day(7), day(8)));
@@ -594,7 +358,22 @@ mod tests {
         assert!(l.changed_in(day(30), day(31)));
         assert!(!l.changed_in(day(8), day(30)));
         assert!(!l.changed_in(day(31), day(100)));
+        // start >= end is an empty window.
         assert!(!l.changed_in(day(6), day(6)));
+        assert!(!l.changed_in(day(7), day(5)));
+
+        let gap = store.list(1);
+        assert!(gap.changed_in(day(19_999_999), day(20_000_001)));
+        assert!(gap.changed_in(day(20_000_000), day(20_000_001)));
+        assert!(!gap.changed_in(day(1), day(20_000_000)));
+
+        let run = store.list(2);
+        assert!(run.changed_in(day(999), day(1000)));
+        assert!(run.changed_in(day(-5), day(1)));
+        assert!(!run.changed_in(day(1000), day(2000)));
+        assert!(!run.changed_in(day(500), day(500)));
+
+        assert!(!DayList::EMPTY.changed_in(day(0), day(100)));
     }
 
     #[test]
@@ -628,46 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_reuses_buffer() {
+    fn as_slice_views_each_field() {
         let store = store_of(&[(field(0, 0), vec![7, 9]), (field(0, 1), vec![1, 2, 3])]);
-        let mut buf = Vec::new();
-        assert_eq!(store.list(0).decode_into(&mut buf), &[day(7), day(9)]);
-        assert_eq!(
-            store.list(1).decode_into(&mut buf),
-            &[day(1), day(2), day(3)]
-        );
-    }
-
-    #[test]
-    fn long_runs_split_into_continuation_words() {
-        // 1000 consecutive days: needs ceil(1000/256) = 4 packed words.
-        let days: Vec<i32> = (0..1000).collect();
-        let store = store_of(&[(field(0, 0), days.clone())]);
-        assert_eq!(store.runs.len(), 4);
-        let l = store.list(0);
-        assert_eq!(l.len(), 1000);
-        let expected: Vec<Date> = days.iter().map(|&n| day(n)).collect();
-        assert_eq!(l.to_vec(), expected);
-        assert_eq!(l.count_before(day(500)), 500);
-        assert_eq!(l.last_before(day(500)), Some(day(499)));
-        assert_eq!(
-            l.iter_from(day(998)).collect::<Vec<_>>(),
-            vec![day(998), day(999)]
-        );
-    }
-
-    #[test]
-    fn huge_gaps_use_the_escape() {
-        // A gap beyond the 24-bit packed limit forces the escape form.
-        let days = vec![0, 20_000_000];
-        let store = store_of(&[(field(0, 0), days)]);
-        assert!(store.runs.contains(&ESCAPE));
-        let l = store.list(0);
-        assert_eq!(l.to_vec(), vec![day(0), day(20_000_000)]);
-        assert_eq!(l.last_before(day(20_000_000)), Some(day(0)));
-        assert_eq!(l.count_before(day(20_000_001)), 2);
-        assert!(l.changed_in(day(19_999_999), day(20_000_001)));
-        assert!(!l.changed_in(day(1), day(20_000_000)));
+        assert_eq!(store.list(0).as_slice(), &[day(7), day(9)]);
+        assert_eq!(store.list(1).as_slice(), &[day(1), day(2), day(3)]);
+        assert_eq!(DayList::EMPTY.as_slice(), &[] as &[Date]);
     }
 
     #[test]
@@ -680,30 +424,13 @@ mod tests {
         assert_eq!(store.list(1).to_vec(), vec![day(-5), day(10)]);
     }
 
-    #[test]
-    fn memory_never_exceeds_decoded_baseline() {
-        // Random-ish sparse lists: one packed word per isolated day is
-        // the worst case, which matches the decoded 4 bytes/day without
-        // the per-field vector headers.
-        let lists: Vec<(FieldId, Vec<i32>)> = (0..50)
-            .map(|i| {
-                let days: Vec<i32> = (0..40).map(|k| k * (i + 2)).collect();
-                (field(i as u32, 0), days)
-            })
-            .collect();
-        let store = store_of(&lists);
-        assert!(store.runs.len() * 4 <= store.total_days() * 4);
-        assert!(store.heap_bytes() > 0);
-        assert!(store.runs.len() * 4 < store.decoded_baseline_bytes());
-    }
-
     mod props {
         use super::*;
 
         /// Strictly increasing day lists with adversarial gaps: dense
-        /// runs, isolated days, and jumps beyond the 24-bit packed-gap
-        /// and 256-day run-length boundaries. Each step is a (kind, raw)
-        /// pair mapped to one of four gap classes.
+        /// runs, isolated days, gaps of 250-299 days and jumps of about
+        /// 2^24 days. Each step is a (kind, raw) pair mapped to one of
+        /// four gap classes.
         fn day_list_strategy() -> impl Strategy<Value = Vec<i32>> {
             (
                 -50_000i32..50_000,
@@ -716,8 +443,8 @@ mod tests {
                         let step = match kind {
                             0 => 1,                      // extend a run
                             1 => 1 + raw % 3,            // small gaps
-                            2 => 250 + raw % 50,         // straddle run-length chunking
-                            _ => 0xFF_FFF0 + raw % 0x20, // straddle the packed-gap limit
+                            2 => 250 + raw % 50,         // 250-299 day gaps
+                            _ => 0xFF_FFF0 + raw % 0x20, // gaps near 2^24 days
                         };
                         d += step;
                         if d > i32::MAX as i64 / 2 {
@@ -730,7 +457,7 @@ mod tests {
         }
 
         proptest! {
-            /// encode → decode is the identity for any sorted day set.
+            /// Storing and reading back is the identity for any sorted day set.
             #[test]
             fn prop_round_trip(lists in proptest::collection::vec(day_list_strategy(), 1..8)) {
                 let named: Vec<(FieldId, Vec<i32>)> = lists
@@ -743,28 +470,28 @@ mod tests {
                     let expected: Vec<Date> = days.iter().map(|&n| day(n)).collect();
                     let l = store.get(*f).unwrap();
                     prop_assert_eq!(l.len(), expected.len());
+                    prop_assert_eq!(l.as_slice(), expected.as_slice());
                     prop_assert_eq!(l.to_vec(), expected.clone());
                     prop_assert_eq!(l.first(), expected.first().copied());
                     prop_assert_eq!(l.last(), expected.last().copied());
                 }
             }
 
-            /// Every navigation helper agrees with the decoded slice.
+            /// Every navigation helper agrees with a plain filter over the input.
             #[test]
             fn prop_navigation_matches_decoded(days in day_list_strategy(), probe in -60_000i32..60_000) {
                 let store = store_of(&[(field(0, 0), days.clone())]);
                 let l = store.list(0);
-                let decoded: Vec<i32> = days;
                 let p = day(probe);
-                let before: Vec<i32> = decoded.iter().copied().filter(|&d| d < probe).collect();
+                let before: Vec<i32> = days.iter().copied().filter(|&d| d < probe).collect();
                 prop_assert_eq!(l.count_before(p), before.len());
                 prop_assert_eq!(l.last_before(p), before.last().map(|&n| day(n)));
                 let after: Vec<Date> =
-                    decoded.iter().copied().filter(|&d| d >= probe).map(day).collect();
+                    days.iter().copied().filter(|&d| d >= probe).map(day).collect();
                 prop_assert_eq!(l.iter_from(p).collect::<Vec<_>>(), after);
                 let end = p + 30;
                 let range = DateRange::new(p, end);
-                let inside: Vec<Date> = decoded
+                let inside: Vec<Date> = days
                     .iter()
                     .copied()
                     .map(day)

@@ -7,11 +7,12 @@
 //! * **page → fields** (the per-page correlation search of §3.2),
 //! * **template → entities / properties** (transaction building of §3.3).
 //!
-//! The field → days view is the shared delta-encoded [`DayListStore`]:
-//! when the index covers every change kind it borrows the cube's own
-//! canonical store by `Arc` instead of re-deriving it, and the
-//! kind-filtered view the predictors use is derived once here. Page and
-//! template views are materialized in compressed-sparse-row layout.
+//! The field → days view is a shared CSR [`DayListStore`]: when every
+//! change in the cube has one of the requested kinds (always for a
+//! filtered cube, which holds only updates) the index borrows the cube's
+//! own canonical store by `Arc` instead of re-deriving it; otherwise the
+//! kind-filtered view is derived once here. Page and template views are
+//! materialized in compressed-sparse-row layout.
 //! Fields get a dense index (`usize` position in [`CubeIndex::fields`])
 //! so downstream code can use plain vectors keyed by field position.
 
@@ -29,7 +30,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct CubeIndex {
     /// Per-field day lists, shared with the cube when the index covers
-    /// all change kinds. Also owns the sorted `fields` vector and the
+    /// every change in it. Also owns the sorted `fields` vector and the
     /// field → position map.
     store: Arc<DayListStore>,
     /// CSR page → field positions.
@@ -48,12 +49,10 @@ impl CubeIndex {
     /// (most callers want updates only — pass
     /// `&[ChangeKind::Update]` — but the dataset statistics want all).
     pub fn build_for_kinds(cube: &ChangeCube, kinds: &[ChangeKind]) -> CubeIndex {
-        let all_kinds = [ChangeKind::Create, ChangeKind::Update, ChangeKind::Delete]
-            .iter()
-            .all(|k| kinds.contains(k));
-        let store = if all_kinds {
-            // The cube's canonical day lists are exactly this view; share
-            // the encoded store instead of rebuilding it.
+        let store = if cube.columns().kinds().iter().all(|k| kinds.contains(k)) {
+            // No change is filtered out, so the cube's canonical day
+            // lists are exactly this view; share them instead of
+            // rebuilding a copy.
             Arc::clone(cube.day_lists())
         } else {
             store_for_kinds(cube, kinds)
@@ -132,7 +131,7 @@ impl CubeIndex {
         self.store.position(field)
     }
 
-    /// Sorted change days of the field at `pos`, as a delta-encoded view.
+    /// Sorted change days of the field at `pos`, borrowed from the store.
     pub fn days(&self, pos: usize) -> DayList<'_> {
         self.store.list(pos)
     }

@@ -28,7 +28,7 @@
 //! * [`change`] — the [`Change`] record and its [`ChangeKind`],
 //! * [`cube`] — the [`ChangeCube`] container (columnar, struct-of-arrays
 //!   change table) and its builder,
-//! * [`daylist`] — shared, delta-encoded per-field day lists
+//! * [`daylist`] — shared per-field sorted day lists in one CSR arena
 //!   ([`DayListStore`]), built once and reused by every stage,
 //! * [`index`] — derived access paths (field → change days, page → fields,
 //!   template → entities/properties) in compressed-sparse-row layout,

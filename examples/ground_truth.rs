@@ -188,7 +188,7 @@ fn main() {
 
     // Show the typo story from the value history.
     println!("\ntotal-goals value history (note the 9,000-short typo and the final correction):");
-    let days = index.days(goals_pos).to_vec();
+    let days = index.days(goals_pos).as_slice();
     for &day in &days[days.len().saturating_sub(6)..] {
         let change = cube
             .changes_in(DateRange::new(day, day + 1))

@@ -38,6 +38,11 @@ run cargo test -q --offline -p wikistale-cli --test differential -- \
 run cargo test -q --offline -p wikistale-serve
 run cargo test -q --offline -p wikistale-cli --test serve_e2e
 
+# The repo benchmark (perfbench/) is its own Cargo package built against
+# the day-list, index and serving APIs; its self-tests catch an API break
+# that the workspace build above cannot see.
+run cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # The lossy-parsing, persistence, and serving code paths promise "typed
 # error or quarantine entry, never a panic" — a stray unwrap()/expect()
 # in them breaks that contract. Scan non-test, non-comment lines

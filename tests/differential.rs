@@ -404,7 +404,7 @@ fn bench_subcommand_verifies_and_reports() {
 
 // ---------------------------------------------------------------------------
 // Row-vs-columnar differential: the columnar change table and the shared
-// delta-encoded day-list store against straight row-layout reference
+// CSR day-list store against straight row-layout reference
 // implementations, at --threads {1, 4}.
 
 /// Reference day lists computed the pre-columnar way: scan every change
@@ -423,7 +423,7 @@ fn reference_day_lists(
     map
 }
 
-/// The shared day-list store decodes to exactly the day lists a row scan
+/// The shared day-list store holds exactly the day lists a row scan
 /// produces — fields, order, and every day — at every thread count.
 #[test]
 fn day_list_store_matches_row_scan() {
