@@ -6,11 +6,17 @@
 //! window *w*?" — so they must run the *same* code. [`predict_all`] is
 //! the predictor sweep extracted verbatim from the batch evaluation
 //! loop (`experiment::evaluate_granularity` now calls it), and
-//! [`Scorer`] answers individual (entity, property, window) triples and
-//! per-page queries by membership lookup in those very
+//! [`Scorer::score_triple`] answers individual (entity, property,
+//! window) triples by membership lookup in those very
 //! [`PredictionSet`]s. Served scores are therefore byte-identical to
 //! batch `predict` output by construction: there is no second
 //! implementation to drift.
+//!
+//! Per-page banners ([`Scorer::page_flags`]) are answered from the
+//! page's own fields through [`crate::explain`], which reads exactly the
+//! day lists the OR ensemble would; the tests pin that equivalence
+//! against the whole-corpus definition and against
+//! [`crate::detector::StalenessDetector::flag`].
 
 use crate::ensemble::{and_ensemble, or_ensemble};
 use crate::experiment::TrainedPredictors;
@@ -246,60 +252,54 @@ impl<'a> Scorer<'a> {
     }
 
     /// Flag potentially stale fields of one page for `window`: fields
-    /// the OR ensemble expects to change inside the window that did not
-    /// visibly change there, each with its provenance from
-    /// [`crate::explain`]. Same semantics as
-    /// [`crate::detector::StalenessDetector::flag`], restricted to one
-    /// page.
+    /// the OR ensemble of field correlations and association rules
+    /// expects to change inside the window that did not visibly change
+    /// there, each with its provenance from [`crate::explain`]. Same
+    /// semantics as [`crate::detector::StalenessDetector::flag`] without
+    /// the seasonal extension, restricted to one page.
+    ///
+    /// Only the page's own fields are read. `explain` returns `Some`
+    /// exactly when a correlation partner's indexed days, or the indexed
+    /// trigger days of a same-template rule whose right-hand side is the
+    /// field's property, fall inside the window. Under those conditions
+    /// `FieldCorrelation::predict`, or `AssociationRulePredictor::predict`
+    /// (which scans every change of the cube in the window, a superset of
+    /// those days), puts the field into the OR ensemble's single window.
+    /// So every explained field is an OR positive, and an OR positive
+    /// without an explanation was never flagged: testing OR membership
+    /// first, which needs both predictors over the whole corpus, cannot
+    /// change the result.
     pub fn page_flags(&self, page: PageId, window: DateRange) -> Vec<Explanation> {
-        let granularity = window.len_days().max(1);
-        let fc = self
-            .predictors
-            .field_corr
-            .predict(&self.data, window, granularity);
-        let ar = self
-            .predictors
-            .assoc
-            .predict(&self.data, window, granularity);
-        let positives = or_ensemble(&fc, &ar);
-        let mut flags = Vec::new();
-        for &pos in self.data.index.fields_on_page(page) {
-            let pos = pos as usize;
-            if !positives.contains(pos as u32, 0) {
-                continue;
-            }
+        let index = self.data.index;
+        index
+            .fields_on_page(page)
+            .iter()
+            .map(|&pos| pos as usize)
             // A field the reader already sees freshly updated needs no
             // banner (in the §5 protocol those are the true positives).
-            if self
-                .data
-                .index
-                .changed_in(pos, window.start(), window.end())
-            {
-                continue;
-            }
-            let field = self.data.index.field(pos);
-            if let Some(explanation) = explain(
-                &self.data,
-                &self.predictors.field_corr,
-                &self.predictors.assoc,
-                field,
-                window,
-            ) {
-                flags.push(explanation);
-            }
-        }
-        flags
+            .filter(|&pos| !index.changed_in(pos, window.start(), window.end()))
+            .filter_map(|pos| {
+                explain(
+                    &self.data,
+                    &self.predictors.field_corr,
+                    &self.predictors.assoc,
+                    index.field(pos),
+                    window,
+                )
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::{DetectorConfig, StalenessDetector};
     use crate::experiment::{evaluate_granularity, ExperimentConfig};
     use crate::filters::FilterPipeline;
     use crate::split::EvalSplit;
     use wikistale_synth::{generate, SynthConfig};
-    use wikistale_wikicube::{ChangeCube, CubeIndex};
+    use wikistale_wikicube::{ChangeCube, ChangeKind, CubeIndex};
 
     fn fixture() -> (ChangeCube, EvalSplit) {
         let corpus = generate(&SynthConfig::tiny());
@@ -415,5 +415,128 @@ mod tests {
             }
         }
         assert!(total > 0, "no page flags across the test year");
+    }
+
+    /// The whole-corpus definition `page_flags` had before it became
+    /// page-scoped: run both predictors over the window, form the OR
+    /// ensemble, then keep each page field that is an OR positive, did
+    /// not change in the window and has an explanation. `positives` is
+    /// the OR ensemble for `window`; it does not depend on the page, so
+    /// callers compute it once per window.
+    fn whole_corpus_page_flags(
+        scorer: &Scorer<'_>,
+        positives: &PredictionSet,
+        page: PageId,
+        window: DateRange,
+    ) -> Vec<Explanation> {
+        let index = scorer.data.index;
+        let mut flags = Vec::new();
+        for &pos in index.fields_on_page(page) {
+            if !positives.contains(pos, 0)
+                || index.changed_in(pos as usize, window.start(), window.end())
+            {
+                continue;
+            }
+            if let Some(explanation) = explain(
+                &scorer.data,
+                &scorer.predictors.field_corr,
+                &scorer.predictors.assoc,
+                index.field(pos as usize),
+                window,
+            ) {
+                flags.push(explanation);
+            }
+        }
+        flags
+    }
+
+    fn or_positives(scorer: &Scorer<'_>, window: DateRange) -> PredictionSet {
+        let granularity = window.len_days().max(1);
+        let fc = scorer
+            .predictors
+            .field_corr
+            .predict(&scorer.data, window, granularity);
+        let ar = scorer
+            .predictors
+            .assoc
+            .predict(&scorer.data, window, granularity);
+        or_ensemble(&fc, &ar)
+    }
+
+    /// Compare `page_flags` with the whole-corpus definition on every
+    /// page of `cube` for 1/7/30/365-day windows ending at six dates
+    /// spread over the corpus's last two years. Returns the number of
+    /// flags seen.
+    fn assert_page_flags_match_whole_corpus(cube: &ChangeCube) -> usize {
+        let split = EvalSplit::for_span(cube.time_span().unwrap()).unwrap();
+        let index = CubeIndex::build(cube);
+        let data = EvalData::new(cube, &index);
+        let config = ExperimentConfig::default();
+        let predictors = TrainedPredictors::train(&data, split.train, &config);
+        let scorer = Scorer::new(data, &predictors, split.test);
+        let mut total = 0;
+        for step in 0..6 {
+            let at = split.validation.start() + 30 + step * 131;
+            for len in [1, 7, 30, 365] {
+                let window = DateRange::new(at - len, at);
+                let positives = or_positives(&scorer, window);
+                for page in 0..cube.num_pages() {
+                    let page = PageId(page as u32);
+                    let expected = whole_corpus_page_flags(&scorer, &positives, page, window);
+                    assert_eq!(
+                        scorer.page_flags(page, window),
+                        expected,
+                        "page {page:?}, window {window:?}"
+                    );
+                    total += expected.len();
+                }
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn page_flags_equal_the_whole_corpus_definition() {
+        let corpus = generate(&SynthConfig::tiny());
+        let (filtered, _) = FilterPipeline::paper().apply(&corpus.cube);
+        assert!(assert_page_flags_match_whole_corpus(&filtered) > 0);
+        // Unfiltered, creates and deletes stay in the cube while the
+        // index holds updates only, so the association-rule sweep sees
+        // trigger changes that `explain` does not.
+        assert!(corpus
+            .cube
+            .columns()
+            .kinds()
+            .iter()
+            .any(|&k| k != ChangeKind::Update));
+        assert!(assert_page_flags_match_whole_corpus(&corpus.cube) > 0);
+    }
+
+    #[test]
+    fn page_flags_over_all_pages_equal_detector_flags() {
+        let corpus = generate(&SynthConfig::tiny());
+        let cutoff = Date::from_ymd(2019, 1, 1).unwrap();
+        let config = DetectorConfig {
+            seasonal: None,
+            ..DetectorConfig::default()
+        };
+        let detector = StalenessDetector::train_until(&corpus.cube, cutoff, &config).unwrap();
+        let data = detector.data();
+        let scorer = Scorer::new(data, detector.predictors(), detector.train_range());
+        let mut total = 0;
+        for week in 0..34 {
+            for len in [7, 30] {
+                let end = cutoff + 7 + week * 7;
+                let window = DateRange::new(end - len, end);
+                let mut per_page: Vec<Explanation> = (0..data.cube.num_pages())
+                    .flat_map(|page| scorer.page_flags(PageId(page as u32), window))
+                    .collect();
+                per_page.sort_by_key(|flag| data.index.position(flag.field));
+                let flags = detector.flag(window);
+                assert_eq!(per_page, flags, "window {window:?}");
+                total += flags.len();
+            }
+        }
+        assert!(total > 0, "no detector flags after the cutoff");
     }
 }

@@ -54,8 +54,9 @@ const MAX_DELAY_MS: u64 = 5_000;
 /// counters are resolved up front.
 const STATUSES: [u16; 4] = [200, 400, 404, 405];
 
-/// `serve/requests/{route}` and `serve/responses/{status}`, resolved
-/// once so a request pays atomic increments, not registry lookups.
+/// `serve/requests/{route}`, `serve/responses/{status}` and
+/// `serve/flags/{reason}`, resolved once so a request pays atomic
+/// increments, not registry lookups.
 struct RequestCounters {
     healthz: Counter,
     metrics: Counter,
@@ -64,11 +65,14 @@ struct RequestCounters {
     method: Counter,
     unknown: Counter,
     responses: [Counter; STATUSES.len()],
+    /// Reasons in computed (uncached) `/v1/stale` responses, per
+    /// predictor: field correlations and association rules.
+    correlated_partner_changed: Counter,
+    rule_fired: Counter,
 }
 
 impl RequestCounters {
-    fn resolve() -> RequestCounters {
-        let registry = MetricsRegistry::global();
+    fn resolve(registry: &MetricsRegistry) -> RequestCounters {
         let route = |name: &str| registry.counter(&format!("serve/requests/{name}"));
         RequestCounters {
             healthz: route("healthz"),
@@ -79,6 +83,18 @@ impl RequestCounters {
             unknown: route("unknown"),
             responses: STATUSES
                 .map(|status| registry.counter(&format!("serve/responses/{status}"))),
+            correlated_partner_changed: registry.counter("serve/flags/correlated_partner_changed"),
+            rule_fired: registry.counter("serve/flags/rule_fired"),
+        }
+    }
+
+    fn count_reasons(&self, flags: &[Explanation]) {
+        for reason in flags.iter().flat_map(|flag| &flag.reasons) {
+            match reason {
+                Reason::CorrelatedPartnerChanged { .. } => self.correlated_partner_changed.incr(),
+                Reason::RuleFired { .. } => self.rule_fired.incr(),
+                Reason::AnnualRecurrence { .. } => {}
+            }
         }
     }
 
@@ -118,7 +134,7 @@ impl App {
             cache: ResponseCache::new(cache_entries),
             sets: Mutex::new(BTreeMap::new()),
             metrics_format,
-            counters: RequestCounters::resolve(),
+            counters: RequestCounters::resolve(MetricsRegistry::global()),
         }
     }
 
@@ -225,6 +241,7 @@ impl App {
         };
         let window = DateRange::new(at.plus_days(-(window_days as i32)), at);
         let flags = artifacts.scorer().page_flags(page, window);
+        self.counters.count_reasons(&flags);
         let body = render_stale_response(artifacts, page_title, window, &flags);
         self.cache.insert(&key, Arc::new(body.clone().into_bytes()));
         Response::json(200, body)
@@ -542,6 +559,42 @@ mod tests {
         assert_eq!(get(&app, "/v1/stale/x?at=%2B2019-%2B06-%2B01").status, 400);
         assert_eq!(get(&app, "/v1/stale/x?window=0").status, 400);
         assert_eq!(get(&app, "/v1/stale/x?window=9999").status, 400);
+    }
+
+    #[test]
+    fn stale_misses_count_flag_reasons_and_hits_do_not() {
+        let mut app = test_app();
+        let registry = MetricsRegistry::new();
+        app.counters = RequestCounters::resolve(&registry);
+        let correlated = registry.counter("serve/flags/correlated_partner_changed");
+        let rules = registry.counter("serve/flags/rule_fired");
+        // The first page with flags in the default window (the 7 days
+        // before the end of the evaluation range).
+        let artifacts = app.artifacts();
+        let cube = artifacts.data().cube;
+        let at = artifacts.eval_range.end();
+        let window = DateRange::new(at.plus_days(-7), at);
+        let (title, flags) = (0..cube.num_pages())
+            .map(|page| wikistale_wikicube::PageId(page as u32))
+            .find_map(|page| {
+                let flags = artifacts.scorer().page_flags(page, window);
+                (!flags.is_empty()).then(|| (cube.page_title(page).to_string(), flags))
+            })
+            .expect("some page has flags");
+        let reasons = || flags.iter().flat_map(|flag| &flag.reasons);
+        let expected = (
+            reasons()
+                .filter(|r| matches!(r, Reason::CorrelatedPartnerChanged { .. }))
+                .count() as u64,
+            reasons()
+                .filter(|r| matches!(r, Reason::RuleFired { .. }))
+                .count() as u64,
+        );
+        let target = format!("/v1/stale/{}", title.replace(' ', "%20"));
+        assert_eq!(get(&app, &target).status, 200);
+        assert_eq!((correlated.get(), rules.get()), expected, "miss");
+        assert_eq!(get(&app, &target).status, 200);
+        assert_eq!((correlated.get(), rules.get()), expected, "hit");
     }
 
     #[test]

@@ -442,11 +442,8 @@ impl ChangeCube {
     /// Apriori transaction builder and the statistics all read this one
     /// copy instead of re-deriving day lists from the change table.
     pub fn day_lists(&self) -> &Arc<DayListStore> {
-        self.day_store.get_or_init(|| {
-            Arc::new(DayListStore::from_field_days(
-                crate::daylist::collect_field_days(self, None),
-            ))
-        })
+        self.day_store
+            .get_or_init(|| Arc::new(DayListStore::from_cube(self, None)))
     }
 
     /// Heap bytes of the columnar change table.

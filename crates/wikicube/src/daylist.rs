@@ -19,7 +19,6 @@ use crate::fxhash::FxHashMap;
 use crate::ids::FieldId;
 use std::iter::Copied;
 use std::slice;
-use std::sync::Arc;
 
 /// One sorted day list per field, stored in a shared CSR arena.
 ///
@@ -38,22 +37,55 @@ pub struct DayListStore {
 }
 
 impl DayListStore {
-    /// Build a store from per-field day lists. Each list must be strictly
-    /// increasing; field order in the map does not matter.
-    pub fn from_field_days(per_field: FxHashMap<FieldId, Vec<Date>>) -> DayListStore {
-        let mut lists: Vec<(FieldId, Vec<Date>)> = per_field.into_iter().collect();
-        lists.sort_unstable_by_key(|&(field, _)| field);
-        let mut fields = Vec::with_capacity(lists.len());
-        let mut field_pos = FxHashMap::default();
-        field_pos.reserve(lists.len());
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
+    /// Build the store over `cube`'s changes of `kinds` (`None` keeps
+    /// every kind).
+    ///
+    /// The change table is sorted by `(day, entity, property)` with one
+    /// row per key, so the CSR is written directly in two serial passes
+    /// over the columns: the first counts each kept field's rows, the
+    /// second writes each row's day at its field's cursor. Every list
+    /// comes out strictly increasing, with no per-field vectors, sort or
+    /// dedup.
+    pub(crate) fn from_cube(cube: &ChangeCube, kinds: Option<&[ChangeKind]>) -> DayListStore {
+        let cols = cube.columns();
+        let kept = || {
+            (0..cols.len())
+                .filter(move |&i| kinds.is_none_or(|ks| ks.contains(&cols.kinds()[i])))
+                .map(move |i| {
+                    let field = FieldId::new(cols.entities()[i], cols.properties()[i]);
+                    (field, cols.days()[i])
+                })
+        };
+
+        // Pass 1: rows per field. The map is reused for field positions.
+        let mut field_pos: FxHashMap<FieldId, u32> = FxHashMap::default();
+        for (field, _) in kept() {
+            *field_pos.entry(field).or_default() += 1;
+        }
+        let mut fields: Vec<FieldId> = field_pos.keys().copied().collect();
+        fields.sort_unstable();
+        // `offsets[pos + 1]` starts as the first slot of field `pos` and
+        // serves as its write cursor, so after pass 2 it is the field's
+        // end: the CSR offsets.
+        let mut offsets = Vec::with_capacity(fields.len() + 1);
         offsets.push(0u32);
-        let mut days = Vec::with_capacity(lists.iter().map(|(_, d)| d.len()).sum());
-        for (pos, (field, list)) in lists.into_iter().enumerate() {
-            fields.push(field);
-            field_pos.insert(field, pos as u32);
-            days.extend(list);
-            offsets.push(days.len() as u32);
+        let mut total = 0u32;
+        for (pos, field) in fields.iter().enumerate() {
+            offsets.push(total);
+            if let Some(slot) = field_pos.get_mut(field) {
+                total += *slot;
+                *slot = pos as u32;
+            }
+        }
+
+        // Pass 2: each row's day at its field's cursor.
+        let mut days = vec![Date::EPOCH; total as usize];
+        for (field, day) in kept() {
+            if let Some(&pos) = field_pos.get(&field) {
+                let cursor = &mut offsets[pos as usize + 1];
+                days[*cursor as usize] = day;
+                *cursor += 1;
+            }
         }
         DayListStore {
             fields,
@@ -115,44 +147,6 @@ impl DayListStore {
             + self.offsets.capacity() * 4
             + self.field_pos.capacity() * (std::mem::size_of::<FieldId>() + 4)
     }
-}
-
-/// Build the per-field day-list map for `cube`, keeping only changes of
-/// `kinds` (`None` keeps every kind). Chunks of the day-major change
-/// table are scanned in parallel and merged in chunk order, so each
-/// field's list stays day-sorted and the result is independent of the
-/// thread count.
-pub(crate) fn collect_field_days(
-    cube: &ChangeCube,
-    kinds: Option<&[ChangeKind]>,
-) -> FxHashMap<FieldId, Vec<Date>> {
-    let cols = cube.columns();
-    let chunk_maps: Vec<FxHashMap<FieldId, Vec<Date>>> =
-        wikistale_exec::par_ranges("day_lists", cols.len(), 16_384, |range| {
-            let mut local: FxHashMap<FieldId, Vec<Date>> = FxHashMap::default();
-            for i in range {
-                if kinds.is_none_or(|ks| ks.contains(&cols.kinds()[i])) {
-                    let field = FieldId::new(cols.entities()[i], cols.properties()[i]);
-                    local.entry(field).or_default().push(cols.days()[i]);
-                }
-            }
-            local
-        });
-    let mut per_field: FxHashMap<FieldId, Vec<Date>> = FxHashMap::default();
-    for local in chunk_maps {
-        for (field, mut field_days) in local {
-            per_field.entry(field).or_default().append(&mut field_days);
-        }
-    }
-    per_field
-}
-
-/// Build a store over `cube` restricted to changes of `kinds`.
-pub(crate) fn store_for_kinds(cube: &ChangeCube, kinds: &[ChangeKind]) -> Arc<DayListStore> {
-    Arc::new(DayListStore::from_field_days(collect_field_days(
-        cube,
-        Some(kinds),
-    )))
 }
 
 /// A borrowed view of one field's sorted change days.
@@ -244,17 +238,27 @@ mod tests {
         FieldId::new(crate::ids::EntityId(e), crate::ids::PropertyId(p))
     }
 
+    /// A store holding `lists`, each strictly increasing, in any field
+    /// order.
     fn store_of(lists: &[(FieldId, Vec<i32>)]) -> DayListStore {
-        let mut map = FxHashMap::default();
-        for (f, days) in lists {
-            map.insert(*f, days.iter().map(|&n| day(n)).collect());
+        let mut lists = lists.to_vec();
+        lists.sort_unstable_by_key(|&(field, _)| field);
+        let mut store = DayListStore {
+            offsets: vec![0],
+            ..DayListStore::default()
+        };
+        for (pos, (field, days)) in lists.into_iter().enumerate() {
+            store.fields.push(field);
+            store.field_pos.insert(field, pos as u32);
+            store.days.extend(days.into_iter().map(day));
+            store.offsets.push(store.days.len() as u32);
         }
-        DayListStore::from_field_days(map)
+        store
     }
 
     #[test]
     fn empty_store() {
-        let store = DayListStore::from_field_days(FxHashMap::default());
+        let store = store_of(&[]);
         assert_eq!(store.num_fields(), 0);
         assert_eq!(store.total_days(), 0);
         assert!(store.get(field(0, 0)).is_none());

@@ -19,7 +19,7 @@
 use crate::change::ChangeKind;
 use crate::cube::ChangeCube;
 use crate::date::Date;
-use crate::daylist::{store_for_kinds, DayList, DayListStore};
+use crate::daylist::{DayList, DayListStore};
 use crate::ids::{EntityId, FieldId, PageId, PropertyId, TemplateId};
 use std::sync::Arc;
 
@@ -55,7 +55,7 @@ impl CubeIndex {
             // rebuilding a copy.
             Arc::clone(cube.day_lists())
         } else {
-            store_for_kinds(cube, kinds)
+            Arc::new(DayListStore::from_cube(cube, Some(kinds)))
         };
         CubeIndex::from_store(cube, store)
     }

@@ -32,6 +32,10 @@ run cargo test -q --offline -p wikistale-cli --test differential
 run cargo test -q --offline -p wikistale-cli --test differential -- \
     day_list columnar weekly_transactions binio_v2
 
+# Served-vs-batch scoring: the per-page `/v1/stale` answer must equal the
+# whole-corpus OR-ensemble definition and the detector's flags.
+run cargo test -q --offline -p wikistale-core scoring
+
 # Serving gates: the query server's unit suite (admission, cache,
 # deadline, byte-determinism) plus the end-to-end suite that drives the
 # real binary over loopback TCP.

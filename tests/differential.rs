@@ -408,13 +408,15 @@ fn bench_subcommand_verifies_and_reports() {
 // implementations, at --threads {1, 4}.
 
 /// Reference day lists computed the pre-columnar way: scan every change
-/// row and bucket its day under the (entity, property) field.
+/// row of one of `kinds` and bucket its day under the (entity, property)
+/// field.
 fn reference_day_lists(
     cube: &ChangeCube,
+    kinds: &[ChangeKind],
 ) -> std::collections::BTreeMap<wikistale_wikicube::FieldId, Vec<Date>> {
     let mut map: std::collections::BTreeMap<wikistale_wikicube::FieldId, Vec<Date>> =
         std::collections::BTreeMap::new();
-    for c in cube.iter_changes() {
+    for c in cube.iter_changes().filter(|c| kinds.contains(&c.kind)) {
         let days = map.entry(c.field()).or_default();
         if days.last() != Some(&c.day) {
             days.push(c.day);
@@ -424,7 +426,9 @@ fn reference_day_lists(
 }
 
 /// The shared day-list store holds exactly the day lists a row scan
-/// produces — fields, order, and every day — at every thread count.
+/// produces — fields, order, and every day — at every thread count. So
+/// does the update-only store an index derives from a cube that also
+/// holds creations and deletions.
 #[test]
 fn day_list_store_matches_row_scan() {
     for seed in [2u64, 13] {
@@ -438,9 +442,16 @@ fn day_list_store_matches_row_scan() {
                 let filtered = FilterPipeline::paper().apply(&corpus.cube).0;
                 (corpus.cube, filtered)
             });
-            for cube in [&raw, &filtered] {
-                let reference = reference_day_lists(cube);
-                let store = cube.day_lists();
+            let all_kinds = [ChangeKind::Update, ChangeKind::Create, ChangeKind::Delete];
+            let updates = [ChangeKind::Update];
+            let update_index = CubeIndex::build(&raw);
+            assert!(update_index.day_lists().total_days() < raw.day_lists().total_days());
+            for (store, cube, kinds) in [
+                (raw.day_lists(), &raw, &all_kinds[..]),
+                (filtered.day_lists(), &filtered, &all_kinds[..]),
+                (update_index.day_lists(), &raw, &updates[..]),
+            ] {
+                let reference = reference_day_lists(cube, kinds);
                 assert_eq!(store.num_fields(), reference.len(), "threads={threads}");
                 for (pos, field, list) in store.iter() {
                     let expected = &reference[&field];
